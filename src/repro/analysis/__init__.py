@@ -23,7 +23,7 @@ from .pipeline import (DEFAULT_PIPELINE, PRESCREEN_PIPELINE, AnalysisPass,
 from .resources import ResourceAnalysis
 from .slices import (box_volume, delta_volume, loop_displacement,
                      merged_extents, movement_recursion, overlap_volume,
-                     slice_coverage, slice_extents)
+                     slice_coverage, slice_extents, walk_movement)
 
 __all__ = [
     "TileFlowModel",
@@ -40,4 +40,5 @@ __all__ = [
     "EvaluationResult", "LevelTraffic", "ResourceUsage",
     "box_volume", "delta_volume", "overlap_volume", "movement_recursion",
     "loop_displacement", "merged_extents", "slice_coverage", "slice_extents",
+    "walk_movement",
 ]

@@ -43,7 +43,7 @@ from ..errors import ForeignNodeError
 from ..ir import TensorAccess
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
 from .fingerprint import cache_namespace, node_fingerprints
-from .slices import box_volume, merged_extents, slice_extents
+from .slices import box_volume, merged_extents, slice_coverage
 
 AccessPairs = List[Tuple[OpTile, TensorAccess]]
 
@@ -69,20 +69,24 @@ class NodeSlices:
     def __init__(self, node: TileNode):
         self.readers: Dict[str, AccessPairs] = {}
         self.writers: Dict[str, AccessPairs] = {}
+        # One slice coverage per leaf, shared by all of its accesses.
+        boxes: Dict[str, List[Tuple[int, ...]]] = {}
         for leaf in node.leaves():
+            cov = slice_coverage(node, leaf)
             for access in leaf.op.inputs:
                 self.readers.setdefault(access.tensor.name, []).append(
                     (leaf, access))
+                boxes.setdefault(access.tensor.name, []).append(
+                    access.extents_over(cov))
             out = leaf.op.output
             self.writers.setdefault(out.tensor.name, []).append((leaf, out))
-        self.tensors: Tuple[str, ...] = tuple(
-            sorted(set(self.readers) | set(self.writers)))
+            boxes.setdefault(out.tensor.name, []).append(
+                out.extents_over(cov))
+        self.tensors: Tuple[str, ...] = tuple(sorted(boxes))
         self.extents: Dict[str, Tuple[int, ...]] = {}
         self.staged_words: Dict[str, float] = {}
         for name in self.tensors:
-            pairs = self.readers.get(name, []) + self.writers.get(name, [])
-            extents = merged_extents(
-                [slice_extents(node, leaf, access) for leaf, access in pairs])
+            extents = merged_extents(boxes[name])
             self.extents[name] = extents
             self.staged_words[name] = float(box_volume(extents))
 
@@ -383,8 +387,11 @@ class AnalysisContext:
         hit = self._crossing.get(key)
         if hit is None:
             home = self.home(tensor_name)
-            if home is not None and not any(
-                    a is home for a in node.ancestors()):
+            above = node.parent
+            if home is not None:  # look for home among the ancestors
+                while above is not None and above is not home:
+                    above = above.parent
+            if home is not None and above is None:  # homed at/below node
                 hit = False
             else:
                 source_level = (node.parent.level if node.parent is not None

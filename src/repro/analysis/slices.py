@@ -74,6 +74,46 @@ def movement_recursion(volume: int, loop_counts: Sequence[int],
     return volume + s
 
 
+def walk_movement(extents: Sequence[int], access: TensorAccess,
+                  loops: Sequence[Loop]) -> int:
+    """The boundary recursion of one slice over a loop walk, in one pass.
+
+    ``loops`` are ordered outer to inner.  Equals
+
+        movement_recursion(box_volume(extents), [lp.count ...],
+            [delta_volume(extents, loop_displacement(access, lp,
+                                                     loops[i + 1:])) ...])
+
+    in exact integer arithmetic, but walks inner to outer once: the
+    inner loops' wrap-around (``back``) is carried as a running suffix
+    sum over the access's compiled ``columns``, so each boundary's
+    displacement ``column * step - back`` costs O(rank) instead of
+    re-deriving every inner loop's span (O(L^2 * rank) per walk).
+    """
+    columns = access.columns
+    unreferenced = (0,) * len(extents)
+    volume = box_volume(extents)
+    back = [0] * len(extents)
+    s = 0
+    for lp in reversed(loops):
+        if lp.count == 1:  # never advances, never wraps
+            continue
+        column = columns.get(lp.dim, unreferenced)
+        step = lp.step
+        overlap = 1
+        for e, c, b in zip(extents, column, back):
+            kept = e - abs(c * step - b)
+            if kept <= 0:  # the boundary moves the slice clear of itself
+                overlap = 0
+                break
+            overlap *= kept
+        if column is not unreferenced:
+            span = (lp.count - 1) * step
+            back = [b + c * span for c, b in zip(column, back)]
+        s = (lp.count - 1) * (volume - overlap + s) + s
+    return volume + s
+
+
 # ----------------------------------------------------------------------
 # Tree-aware helpers
 # ----------------------------------------------------------------------
@@ -135,7 +175,8 @@ def loop_displacement(access: TensorAccess, loop: Loop,
     When a temporal loop increments, every loop *inside* it (``inner_loops``,
     the walk loops nested within) wraps from its last value back to its
     first, so the net displacement is the loop's own step minus the inner
-    loops' full spans — exactly the boundary analysis of Fig. 5.
+    loops' full spans — exactly the boundary analysis of Fig. 5.  This is
+    the reference form of one boundary of :func:`walk_movement`.
     """
     forward = access.displacement({loop.dim: loop.step})
     back = [0] * len(forward)

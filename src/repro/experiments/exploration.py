@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -67,8 +68,10 @@ def space_exploration_trace(workloads: Dict[str, Workload],
     arch = arch or edge()
     traces = ExplorationTraces()
     for name, workload in workloads.items():
+        # A stable digest, not hash(): str hashes are salted per process.
         mapper = TileFlowMapper(workload, arch, respect_memory=False,
-                                seed=hash(name) & 0xFFFF, workers=workers)
+                                seed=zlib.crc32(name.encode()) & 0xFFFF,
+                                workers=workers)
         result = mapper.explore(generations=generations,
                                 population=population,
                                 mcts_samples=mcts_samples)

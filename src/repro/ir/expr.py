@@ -123,8 +123,9 @@ class AffineExpr:
         """
         span = 0
         for d, c in self._terms:
-            n = max(1, int(extents.get(d, 1)))
-            span += abs(c) * (n - 1)
+            n = extents.get(d, 1)
+            if n > 1:  # dims spanning one value (or none) add nothing
+                span += abs(c) * (int(n) - 1)
         return span + 1
 
     def displacement(self, steps: Mapping[str, int]) -> int:

@@ -54,6 +54,7 @@ class Workload:
                     f"workload {name!r}: tensor {out!r} produced by both "
                     f"{self._producer[out].name!r} and {op.name!r}")
             self._producer[out] = op
+        consumers: Dict[str, List[Operator]] = {}
         for op in self.operators:
             for t in op.input_tensors():
                 prod = self._producer.get(t.name)
@@ -61,6 +62,11 @@ class Workload:
                     raise WorkloadError(
                         f"workload {name!r}: {op.name!r} consumes "
                         f"{t.name!r} before {prod.name!r} produces it")
+                consumers.setdefault(t.name, []).append(op)
+        #: Readers per tensor, in operator order (asked per tensor home
+        #: and per fused producer on every evaluation).
+        self._consumers: Dict[str, Tuple[Operator, ...]] = {
+            t: tuple(ops) for t, ops in consumers.items()}
 
     # ------------------------------------------------------------------
     # Lookup
@@ -87,8 +93,7 @@ class Workload:
 
     def consumers(self, tensor_name: str) -> Tuple[Operator, ...]:
         """Operators reading ``tensor_name`` as an input."""
-        return tuple(op for op in self.operators
-                     if any(a.tensor.name == tensor_name for a in op.inputs))
+        return self._consumers.get(tensor_name, ())
 
     # ------------------------------------------------------------------
     # Classification

@@ -216,7 +216,10 @@ def _generic_leaf(op: Operator, budget: int) -> Tuple[Dict[str, int],
         if ext > 1:
             sp[d] = ext
             remaining = max(1, remaining // ext)
-    tp = {d: op.dims[d] for d in op.reduction_dims if op.dims[d] > 1}
+    # Sorted, not frozenset order: leaf loop order must not depend on
+    # the process's string-hash seed.
+    tp = {d: op.dims[d] for d in sorted(op.reduction_dims)
+          if op.dims[d] > 1}
     return sp, tp
 
 

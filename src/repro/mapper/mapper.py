@@ -178,8 +178,8 @@ class TileFlowMapper:
                 explorer = GeneticExplorer(
                     self.workload,
                     population=population, mcts_samples=mcts_samples,
-                    seed=self.seed, tuner=engine.tune_population,
-                    reuse_elites=reuse_elites)
+                    survivors=min(4, population), seed=self.seed,
+                    tuner=engine.tune_population, reuse_elites=reuse_elites)
                 genome, factors, cost = explorer.run(generations)
                 tree = build_genome_tree(self.workload, self.arch, genome,
                                          factors)

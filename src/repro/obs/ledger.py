@@ -92,7 +92,12 @@ class RunLedger:
 
     # -- writing ---------------------------------------------------------
     def new_run_id(self, salt: str = "") -> str:
-        """A collision-free ``<timestamp>-<salt>`` run id."""
+        """A collision-free ``<timestamp>-<salt>`` run id.
+
+        Path separators in ``salt`` (workload names like ``ViT/16-B``)
+        become ``_`` so the id stays one directory name.
+        """
+        salt = salt.replace("/", "_").replace(os.sep, "_")
         stamp = time.strftime("%Y%m%dT%H%M%S", time.localtime())
         base = f"{stamp}-{salt}" if salt else stamp
         run_id, n = base, 1

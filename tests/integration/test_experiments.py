@@ -1,5 +1,10 @@
 """Integration tests for the experiment harness (reduced budgets)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import arch
@@ -64,6 +69,42 @@ class TestExplorationExperiment:
         traces = space_exploration_trace(wls, generations=2, population=4,
                                          mcts_samples=5)
         assert len(traces.series) == 1
+
+
+_HASH_SEED_PROBE = """
+import json
+from repro import arch
+from repro.analysis import TileFlowModel
+from repro.experiments.exploration import space_exploration_trace
+from repro.mapper import Genome, build_genome_tree, genome_factor_space
+from repro.workloads import by_name
+cc2 = by_name("CC2")
+genome = Genome.unfused(cc2)
+tree = build_genome_tree(cc2, arch.edge(), genome,
+                         genome_factor_space(cc2, genome).default_point())
+cost = TileFlowModel(arch.edge()).evaluate(tree).latency_cycles
+traces = space_exploration_trace({"ViT/16-B": by_name("ViT/16-B")},
+                                 generations=6, population=6,
+                                 mcts_samples=10)
+print(json.dumps({"cc2_cost": cost, "trace": traces.series}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_genome_tree_and_trace_ignore_hash_seed(self):
+        # Conv genome trees order leaf loops over a frozenset of reduction
+        # dims and Fig. 9b/9c seed each shape's mapper from its name:
+        # neither may depend on the interpreter's string-hash seed.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            run = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=300, check=True)
+            outputs.append(json.loads(run.stdout.splitlines()[-1]))
+        assert outputs[0] == outputs[1]
 
 
 class TestSensitivityExperiments:

@@ -79,6 +79,11 @@ class TestEvaluation:
     def test_extent_missing_dim(self):
         assert dim("i").extent_over({}) == 1
 
+    def test_extent_clamps_empty_dims(self):
+        e = 3 * dim("i") + dim("j")
+        assert e.extent_over({"i": 0, "j": 4}) == 4
+        assert e.extent_over({"i": -2, "j": 1}) == 1
+
     def test_displacement(self):
         e = dim("i") + 2 * dim("j")
         assert e.displacement({"i": 3}) == 3

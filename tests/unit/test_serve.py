@@ -505,6 +505,30 @@ class TestExplainServiceRun:
         finally:
             svc.stop(timeout=5)
 
+    def test_slash_workload_and_small_population_jobs(self, tmp_path):
+        # ViT/* names salt the ledger run id with a path separator, and
+        # populations below the GA's default four survivors used to pass
+        # spec validation and then fail inside the search.
+        from repro.obs import ledger as ledger_mod
+
+        svc = EvaluationService(workers=1,
+                                ledger_root=str(tmp_path / "runs")).start()
+        try:
+            evaluate = svc.submit("evaluate", {"workload": "ViT/16-B",
+                                               "arch": "edge",
+                                               "dataflow": "layerwise"})
+            search = svc.submit("search", {"workload": "Bert-S",
+                                           "generations": 1,
+                                           "population": 2, "samples": 2})
+            assert svc.wait_drained(timeout=120)
+            assert evaluate.state == "done" and search.state == "done"
+            assert "/" not in evaluate.run_id
+            manifest = ledger_mod.RunLedger(
+                str(tmp_path / "runs")).load(evaluate.run_id)
+            assert manifest["workload"]["name"] == "ViT/16-B"
+        finally:
+            svc.stop(timeout=5)
+
     def test_explain_run_rejects_drifted_fingerprint(self, tmp_path):
         from repro.obs import explain as explain_mod
         from repro.obs.ledger import LedgerError, RunLedger
