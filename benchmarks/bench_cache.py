@@ -20,7 +20,7 @@ artifact cache, and proves the tiers change nothing but the wall clock:
   Insertion-order eviction degenerates to full per-round turnover;
   segmented (probationary/protected) eviction promotes re-hit entries
   and redirects churn onto one-shot probationary ones.  The gate:
-  protected-kind (``walkvol``, ``groupflows``) evictions strictly
+  protected-kind (``groupflows``) evictions strictly
   reduced vs the insertion-order baseline at the same bound, with
   byte-identical evaluation results.
 * **Frozen-oracle identity through cold L1 + warm L3** — every entry of
@@ -67,7 +67,7 @@ ORACLE_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tests",
 
 #: The kinds the segmented policy exists to protect (high re-use,
 #: expensive to recompute) — the eviction gate counts these.
-PROTECTED_KINDS = ("walkvol", "groupflows")
+PROTECTED_KINDS = ("groupflows",)
 
 
 def _workload(args: argparse.Namespace):

@@ -20,9 +20,7 @@ Two batched-layer guards ride along:
   pipeline's per-pass profile (they price candidates outside it);
 * ``--spot-check N`` prices a seeded random factor cohort of one fused
   genome through the batched ``CohortEvaluator`` and re-evaluates every
-  priced member on a scalar-only engine: costs must match exactly, and
-  every ``walkvol`` artifact the sweep published under the scalar cache
-  keys must equal the value the scalar engine computes for that key.
+  priced member on a scalar-only engine: costs must match exactly.
 
 Usage::
 
@@ -140,21 +138,6 @@ def spot_check(samples: int, seed: int) -> List[str]:
     print(f"[drift] spot-check: {checked} members cost-compared, "
           f"{fallbacks} scalar fallbacks, {len(failures)} mismatches")
 
-    # Artifact equality: every walk volume the sweep published must
-    # equal what the scalar engine computed under the same cache key.
-    batched_store = batched_engine.subtree_cache.store(
-        batched_engine._subtree_ns, "walkvol").data
-    scalar_store = scalar_engine.subtree_cache.store(
-        scalar_engine._subtree_ns, "walkvol").data
-    common = [key for key in batched_store if key in scalar_store]
-    bad = [key for key in common
-           if batched_store[key] != scalar_store[key]]
-    for key in bad[:5]:
-        failures.append(f"walkvol artifact {key!r}: batched "
-                        f"{batched_store[key]!r} != scalar "
-                        f"{scalar_store[key]!r}")
-    print(f"[drift] spot-check: {len(common)} shared walkvol artifacts "
-          f"compared, {len(bad)} mismatches")
     if checked == 0:
         failures.append("spot check priced no members (all fell back)")
     batched_engine.shutdown()

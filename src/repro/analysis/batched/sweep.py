@@ -31,10 +31,8 @@ Safety valves, in increasing order of scope:
 
 * no member's cost is committed before every fresh template it touched
   has passed a composed cross-check against one real scalar evaluation;
-  published walk volumes and memo rows are buffered per class and
-  dropped with their sweep on a mismatch (a wrong template must not
-  poison the shared cache — or mask its own mismatch by warming the
-  very scalar run that checks it);
+  memo rows are buffered per class and dropped with their sweep on a
+  mismatch (a wrong template must not leave rows behind);
 * :class:`~repro.analysis.batched.kernels.BatchedError` (overflow, plan
   mismatch) breaks the class; its members fall back to the scalar path
   and are remembered in ``_scalar_only``;
@@ -103,8 +101,7 @@ class CohortEvaluator:
 
     def __init__(self, engine, genome, space, *,
                  limit: int = DEFAULT_LIMIT,
-                 min_misses: int = DEFAULT_MIN_MISSES,
-                 publish: bool = True):
+                 min_misses: int = DEFAULT_MIN_MISSES):
         self.engine = engine
         self.genome = genome
         arch = engine.arch
@@ -137,14 +134,6 @@ class CohortEvaluator:
         self._prefix_misses: Dict[Tuple[int, ...], int] = {}
         #: Sweep budget (see INITIAL_CREDIT); deterministic per run.
         self._credit = float(INITIAL_CREDIT)
-        self._store = None
-        if publish and engine.subtree_cache is not None:
-            # Batched walk volumes land in the same tiered "walkvol"
-            # store the scalar DataMovementAnalysis publishes to, under
-            # identical keys — a swept cohort warms later scalar
-            # evaluations (the champion re-run, sibling genomes).
-            self._store = engine.subtree_cache.store(
-                engine._subtree_ns, "walkvol")
 
     # -- MCTS integration ------------------------------------------------
     def mcts_hook(self, indices: Sequence[int]
@@ -240,9 +229,9 @@ class CohortEvaluator:
                     self._wrapped = struct.wrapped
             return struct
 
-        # Per-class evaluation.  Publishes and memo insertions are
-        # buffered per class so an invalidated sweep commits nothing.
-        records: List[Tuple[Tuple[int, bytes], List[int], list, list]] = []
+        # Per-class evaluation.  Memo insertions are buffered per class
+        # so an invalidated sweep commits nothing.
+        records: List[Tuple[Tuple[int, bytes], List[int], list]] = []
         fresh: Set[Tuple[int, bytes]] = set()
         per_group: List[Optional[Dict[str, object]]] = []
         for gi in range(ngroups):
@@ -263,23 +252,16 @@ class CohortEvaluator:
                     ok[poss] = False
                     self._fallback([todo[p] for p in poss])
                     continue
-                buf: list = []
                 pend: list = []
-                publish = None
-                if self._store is not None:
-                    publish = (lambda kind, key, value, _b=buf:
-                               _b.append((kind, key, value)))
                 try:
-                    res = template.evaluate_cached(plan, poss,
-                                                   publish=publish,
-                                                   pending=pend)
+                    res = template.evaluate_cached(plan, poss, pending=pend)
                 except BatchedError:
                     self._templates[tkey] = None
                     fresh.discard(tkey)
                     ok[poss] = False
                     self._fallback([todo[p] for p in poss])
                     continue
-                records.append((tkey, poss, buf, pend))
+                records.append((tkey, poss, pend))
                 if agg is None:
                     agg = {"lat": np.zeros(n, dtype=np.float64),
                            "mac": np.zeros(n, dtype=np.int64),
@@ -320,21 +302,16 @@ class CohortEvaluator:
         # members failed in another group) stay uncommitted — their
         # members fall through to the scalar path on request and the
         # class is retried next sweep.
-        for tkey, poss, _buf, _pend in records:
+        for tkey, poss, _pend in records:
             if tkey not in self._checked:
                 ok[poss] = False
         committed = 0
-        store = self._store
-        for tkey, poss, buf, pend in records:
+        for tkey, poss, pend in records:
             if tkey not in self._checked:
                 continue
             for memo, row, value in pend:
                 if len(memo) < MEMO_LIMIT:
                     memo[row] = value
-            if store is not None:
-                for kind, key, value in buf:
-                    if kind == "walkvol" and store.data.get(key) is None:
-                        store.put(key, value)
         for pos in np.nonzero(ok)[0]:
             self._costs[todo[pos]] = float(costs[pos])
             committed += 1

@@ -41,7 +41,7 @@ stop_on_violation=True)`` run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,10 +53,6 @@ from .cohort import CohortPlan, CohortPlanner
 from .kernels import (F8, I8, BatchedPlanError, add64, box64, movement64,
                       mul64, sub64, abs64)
 
-#: ``publish(kind, key, value)`` — lands batched artifacts in the tiered
-#: cache under the same per-kind keys the scalar path uses.
-Publisher = Callable[[str, Tuple, int], None]
-
 #: Rows kept per node memo (a runaway-space backstop, not a tuning knob).
 MEMO_LIMIT = 65536
 
@@ -65,7 +61,6 @@ MEMO_LIMIT = 65536
 class _WalkPlan:
     """One (node, tensor, direction) truncated ancestor walk."""
 
-    access: object
     walked: List  # Loop objects, outer -> inner
     mult: List    # Loop objects, scalar append order
     #: Writer walks only: reduction dims + the ideal (reduction-free)
@@ -261,7 +256,7 @@ class GroupTemplate:
                     _leaf, access = reader_pairs[0]
                     walked, mult = self._mirror_walk(node, name, access,
                                                      home)
-                    reader = _WalkPlan(access, walked, mult,
+                    reader = _WalkPlan(walked, mult,
                                        coeff=_coeff_matrix(access, walked))
                 if writer_pairs:
                     leaf, access = writer_pairs[0]
@@ -269,7 +264,7 @@ class GroupTemplate:
                                                      home)
                     red = leaf.op.reduction_dims
                     ideal = [lp for lp in walked if lp.dim not in red]
-                    writer = _WalkPlan(access, walked, mult,
+                    writer = _WalkPlan(walked, mult,
                                        red=frozenset(red),
                                        ideal_loops=ideal,
                                        coeff=_coeff_matrix(access, walked),
@@ -363,13 +358,10 @@ class GroupTemplate:
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, plan: CohortPlan, positions: Sequence[int],
-                 publish: Optional[Publisher] = None,
                  pending: Optional[list] = None) -> GroupResult:
         """Aggregates of the group's members at ``positions`` of ``plan``.
 
-        ``publish`` optionally receives every computed boundary-recursion
-        volume under its scalar ``walkvol`` cache key.  ``pending``, when
-        given, collects ``(memo, row, value)`` flow-memo insertions for
+        ``pending``, when given, collects ``(memo, row, value)`` flow-memo insertions for
         the caller to commit once the sweep is validated (a wrong
         template must not leave rows behind); without it insertions are
         immediate.
@@ -406,7 +398,7 @@ class GroupTemplate:
                                Dict[str, np.ndarray]]] = {}
         for nplan in self._node_plans:
             flows[id(nplan.node)] = self._node_flows_cached(
-                nplan, lv, k, publish, pending)
+                nplan, lv, k, pending)
 
         mac, vec = self._num_pe(self.gnode, s_trip, k)
         footprint = self._footprint(self.gnode, flows, s_trip, k)
@@ -417,7 +409,6 @@ class GroupTemplate:
                            footprint=footprint, instances=instances)
 
     def evaluate_cached(self, plan: CohortPlan, positions: Sequence[int],
-                        publish: Optional[Publisher] = None,
                         pending: Optional[list] = None) -> GroupResult:
         """:meth:`evaluate` behind a whole-result memo.
 
@@ -426,7 +417,6 @@ class GroupTemplate:
         suffix factors of a sibling cohort repeat verbatim sweep after
         sweep — are served as stored floats/ints and reassembled
         exactly (``float``/``int`` round-trip their numpy scalars).
-        Memo hits skip publishing, like the per-node flow memo.
         """
         pos = np.asarray(positions, dtype=np.intp)
         k = int(pos.shape[0])
@@ -452,7 +442,7 @@ class GroupTemplate:
             # so their whole class costs one lane of array work.
             sub = list(missing.values())
             res = self.evaluate(plan, [positions[i] for i in sub],
-                                publish=publish, pending=pending)
+                                pending=pending)
             if self._fp_levels is None:
                 self._fp_levels = tuple(res.footprint)
                 self._inst_levels = tuple(res.instances)
@@ -552,7 +542,6 @@ class GroupTemplate:
 
     # -- data movement --------------------------------------------------
     def _node_flows_cached(self, nplan: _NodePlan, lv, k: int,
-                           publish: Optional[Publisher],
                            pending: Optional[list]):
         """Per-node flows with a value-row memo.
 
@@ -562,8 +551,7 @@ class GroupTemplate:
         cohort-constant — are served from the memo as plain floats and
         reassembled.  Reassembly is exact (``float`` round-trips
         float64), so downstream composition is bit-identical either
-        way.  Memo hits skip publishing: the identical row was already
-        published (or buffered) when first computed.
+        way.
         """
         memo = nplan.memo
         if nplan.dep_loops:
@@ -577,8 +565,7 @@ class GroupTemplate:
         else:
             rows = [b""] * k
         if any(r not in memo for r in rows):
-            fills, updates, staged = self._node_flows(nplan, lv, k,
-                                                      publish)
+            fills, updates, staged = self._node_flows(nplan, lv, k)
             if len(memo) < MEMO_LIMIT:
                 fresh: Dict[bytes, Tuple] = {}
                 for i, r in enumerate(rows):
@@ -604,19 +591,16 @@ class GroupTemplate:
                   for j, t in enumerate(nplan.staged_names)}
         return fills, updates, staged
 
-    def _node_flows(self, nplan: _NodePlan, lv, k: int,
-                    publish: Optional[Publisher]):
+    def _node_flows(self, nplan: _NodePlan, lv, k: int):
         fills: Dict[str, np.ndarray] = {}
         updates: Dict[str, np.ndarray] = {}
         staged: Dict[str, np.ndarray] = {}
         # Collect every walk of the node first, run the boundary
         # recursion for all of them in one stacked pass, then assemble
         # fills/updates in the scalar's per-tensor order.
-        extents_of: Dict[str, List[np.ndarray]] = {}
         requests: List[Tuple[_WalkPlan, List, List, np.ndarray]] = []
         for tplan in nplan.tensors:
             extents = self._merged_extents(nplan, tplan, lv, k)
-            extents_of[tplan.name] = extents
             staged[tplan.name] = box64(extents, k).astype(F8)
             if not tplan.crossing:
                 continue
@@ -634,17 +618,14 @@ class GroupTemplate:
         for tplan in nplan.tensors:
             if not tplan.crossing:
                 continue
-            extents = extents_of[tplan.name]
             if tplan.reader is not None:
                 rp = tplan.reader
-                words = self._walk_words(moved[wi], rp, rp.walked,
-                                         extents, lv, k, publish)
+                words = self._walk_words(moved[wi], rp, lv, k)
                 wi += 1
                 fills[tplan.name] = fills.get(tplan.name, 0.0) + words
             if tplan.writer is not None:
                 wp = tplan.writer
-                words = self._walk_words(moved[wi], wp, wp.walked,
-                                         extents, lv, k, publish)
+                words = self._walk_words(moved[wi], wp, lv, k)
                 wi += 1
                 updates[tplan.name] = (updates.get(tplan.name, 0.0)
                                        + words)
@@ -657,8 +638,8 @@ class GroupTemplate:
                         if lp.dim in wp.red:
                             mult_red = mult_red * lv[id(lp)][0].astype(F8)
                     ideal = self._walk_words(
-                        moved[wi], wp, wp.ideal_loops, extents, lv, k,
-                        publish, mult_div=np.maximum(1.0, mult_red))
+                        moved[wi], wp, lv, k,
+                        mult_div=np.maximum(1.0, mult_red))
                     wi += 1
                     # Maximal-insertion mirror of the scalar's
                     # ``if rmw > 0`` guard: adding the +0.0 of rmw-free
@@ -668,17 +649,13 @@ class GroupTemplate:
                     fills[tplan.name] = fills.get(tplan.name, 0.0) + rmw
         return fills, updates, staged
 
-    def _walk_words(self, moved: np.ndarray, wp: _WalkPlan, loops,
-                    extents, lv, k: int, publish: Optional[Publisher],
+    def _walk_words(self, moved: np.ndarray, wp: _WalkPlan, lv, k: int,
                     mult_div: Optional[np.ndarray] = None) -> np.ndarray:
         multiplier = np.ones(k, dtype=F8)
         for lp in wp.mult:
             multiplier = multiplier * lv[id(lp)][0].astype(F8)
         if mult_div is not None:
             multiplier = multiplier / mult_div
-        if publish is not None:
-            self._publish_volumes(publish, wp.access, extents, loops, lv,
-                                  k, moved)
         return moved.astype(F8) * multiplier
 
     def _stacked_walks(self, requests, lv, k: int) -> np.ndarray:
@@ -738,38 +715,6 @@ class GroupTemplate:
         return movement64(volumes,
                           [counts[:, li] for li in range(n_levels)],
                           [deltas[:, li] for li in range(n_levels)])
-
-    def _publish_volumes(self, publish: Publisher, access, extents,
-                         loops, lv, k: int, moved: np.ndarray) -> None:
-        """Land per-member volumes under their scalar ``walkvol`` keys.
-
-        Every emitted loop has trip count >= 2 for every member of the
-        class (the planner only emits loops it proved > 1), so the
-        projected-walk string has the same token structure class-wide
-        and only the numbers vary.
-        """
-        sig, referenced = access.signature()
-        counts = [lv[id(lp)][0] for lp in loops]
-        steps = [lv[id(lp)][1] for lp in loops]
-        flags = [lp.dim in referenced for lp in loops]
-        dims = [lp.dim for lp in loops]
-        ext_cols = [e for e in extents]
-        for i in range(k):
-            parts: List[str] = []
-            pending = 1
-            for j, ref in enumerate(flags):
-                c = int(counts[j][i])
-                if ref:
-                    if pending != 1:
-                        parts.append(f"*{pending}")
-                        pending = 1
-                    if c != 1:
-                        parts.append(f"{dims[j]}:{c}x{int(steps[j][i])}")
-                elif c != 1:
-                    pending *= c
-            key = (sig, tuple(int(col[i]) for col in ext_cols),
-                   ",".join(parts))
-            publish("walkvol", key, int(moved[i]))
 
     # -- resources ------------------------------------------------------
     def _num_pe(self, node: TileNode, s_trip, k: int):

@@ -20,8 +20,8 @@ Eviction is *segmented* (probationary/protected, an SLRU variant): every
 insert lands in a store's probationary segment, a re-hit (reported via
 :meth:`KindStore.touch`) promotes the entry to protected, and the victim
 search drains probationary entries across all stores before it touches
-protected ones.  High-reuse artifact kinds (``walkvol``, ``groupflows``)
-therefore survive pressure from churny one-shot slice geometry, which the
+protected ones.  High-reuse artifact kinds (``groupflows``) therefore
+survive pressure from churny one-shot slice geometry, which the
 old insertion-order policy evicted them to make room for.  Pass
 ``policy="insertion"`` to get the old behaviour back (the benchmark's
 baseline arm).
@@ -115,7 +115,7 @@ DEFAULT_SUBTREE_CACHE_SIZE = 8192
 #: strings, float tuples) and therefore safe to serve from the L2/L3
 #: tiers byte-identically.  ``slices`` is deliberately absent: its
 #: values carry ``(leaf, access)`` object pairs into live trees.
-TIERED_KINDS = frozenset({"walkvol", "groupflows", "num_pe", "valid", "cov"})
+TIERED_KINDS = frozenset({"groupflows", "num_pe", "valid", "cov"})
 
 
 class KindStore:
@@ -234,7 +234,7 @@ class SubtreeArtifactCache:
 
     Entries live in per-``(namespace, kind)`` :class:`KindStore` dicts:
     ``kind`` names the artifact family (``"slices"``, ``"num_pe"``,
-    ``"walkvol"``, ``"groupflows"``, ``"valid"``, ``"cov"``) and the
+    ``"groupflows"``, ``"valid"``, ``"cov"``) and the
     namespace pins the workload/architecture/model-flag combination
     (:func:`~repro.analysis.fingerprint.cache_namespace`).  Keys within
     a store are structural subtree fingerprints (or fingerprint-derived

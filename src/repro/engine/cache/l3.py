@@ -10,8 +10,8 @@ Layout under the cache dir::
 
     <root>/v1/<sha256(namespace)[:20]>/
         meta.json        # {"schema": 1, "namespace": "<full ns string>"}
-        walkvol.pkl      # {"schema": 1, "namespace": ..., "kind": ...,
-        groupflows.pkl   #  "entries": {key: value, ...}}
+        groupflows.pkl   # {"schema": 1, "namespace": ..., "kind": ...,
+        cov.pkl          #  "entries": {key: value, ...}}
         ...
 
 Invalidation is structural, not temporal: the namespace string embeds

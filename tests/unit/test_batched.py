@@ -247,7 +247,7 @@ class TestPurgeBudget:
         from repro.engine.cache import DiskArtifactStore
         store = DiskArtifactStore(str(tmp_path))
         for i in range(3):
-            store.flush(f"ns{i}", "walkvol",
+            store.flush(f"ns{i}", "cov",
                         {f"k{j}": j for j in range(50 * (i + 1))})
         return store
 

@@ -45,7 +45,7 @@ NS = "testns|Edge#2|e1r1"
 # ----------------------------------------------------------------------
 def test_promotion_protects_entries_from_churn():
     cache = SubtreeArtifactCache(4)
-    hot = cache.store(NS, "walkvol")
+    hot = cache.store(NS, "cov")
     hot.put("h1", 1)
     hot.touch("h1")  # re-hit -> protected
     churn = cache.store(NS, "slices")
@@ -59,7 +59,7 @@ def test_promotion_protects_entries_from_churn():
 
 def test_probation_evicted_before_protected_within_store():
     cache = SubtreeArtifactCache(3)
-    s = cache.store(NS, "walkvol")
+    s = cache.store(NS, "cov")
     s.put("a", 1)
     s.put("b", 2)
     s.put("c", 3)
@@ -72,7 +72,7 @@ def test_probation_evicted_before_protected_within_store():
 
 def test_insertion_policy_is_the_old_behaviour():
     cache = SubtreeArtifactCache(3, policy="insertion")
-    s = cache.store(NS, "walkvol")
+    s = cache.store(NS, "cov")
     s.put("a", 1)
     s.put("b", 2)
     s.put("c", 3)
@@ -91,13 +91,13 @@ def _churn_workload(cache, reuse_keys=8, churn_keys=400, rounds=2, passes=2):
     """A reuse-heavy working set under one-shot churn in the same store.
 
     Each round re-probes a small hot set ``passes`` times (the access
-    shape of walkvol/groupflows on shared subtrees: probed repeatedly
+    shape of cov/groupflows on shared subtrees: probed repeatedly
     within and across evaluations), then inserts a burst of distinct
     one-shot fingerprints.  Returns the store's (hits, misses,
     evictions) — under insertion-order eviction the churn expels the
     hot set (it is oldest) every round; segmented promotion keeps it.
     """
-    store = cache.store(NS, "walkvol")
+    store = cache.store(NS, "cov")
     serial = 0
     for _ in range(rounds + 1):
         for _probe_pass in range(passes):
@@ -138,7 +138,7 @@ def test_segmented_beats_insertion_under_pressure():
 # ----------------------------------------------------------------------
 def test_clear_keeps_counters_reset_counters_zeroes_them():
     cache = SubtreeArtifactCache(4)
-    s = cache.store(NS, "walkvol")
+    s = cache.store(NS, "cov")
     s.put("a", 1)
     s.touch("a")
     s.miss()
@@ -170,11 +170,11 @@ def test_multithread_hammer_keeps_tier_counters_exact(tmp_path):
     l3_hits exactly equal to the number of tier-served misses."""
     l3 = DiskArtifactStore(str(tmp_path))
     persisted = {("k", i): i for i in range(64)}
-    l3.flush(NS, "walkvol", persisted)
+    l3.flush(NS, "cov", persisted)
 
     cache = SubtreeArtifactCache(100_000)
     cache.attach_l3(l3)
-    store = cache.store(NS, "walkvol")
+    store = cache.store(NS, "cov")
     threads, per_thread = 8, 600
     tier_served = [0] * threads
 
@@ -212,15 +212,15 @@ def test_multithread_hammer_keeps_tier_counters_exact(tmp_path):
 def test_l2_roundtrip_dedup_and_attach(tmp_path):
     l2 = SharedArtifactStore.create(size=1 << 18, dir=str(tmp_path))
     key = ("sig", (4, 4), "walk")
-    assert l2.put(NS, "walkvol", key, 123456789)
-    assert not l2.put(NS, "walkvol", key, 0), "duplicate keys must dedup"
-    assert l2.get(NS, "walkvol", key) == 123456789
-    assert l2.get(NS, "walkvol", "absent") is None
-    assert l2.get("other-ns", "walkvol", key) is None
+    assert l2.put(NS, "cov", key, 123456789)
+    assert not l2.put(NS, "cov", key, 0), "duplicate keys must dedup"
+    assert l2.get(NS, "cov", key) == 123456789
+    assert l2.get(NS, "cov", "absent") is None
+    assert l2.get("other-ns", "cov", key) is None
 
     peer = SharedArtifactStore.attach(l2.path)
-    assert peer.get(NS, "walkvol", key) == 123456789
-    assert not peer.put(NS, "walkvol", key, 0)
+    assert peer.get(NS, "cov", key) == 123456789
+    assert not peer.put(NS, "cov", key, 0)
     assert peer.put(NS, "groupflows", "k2", (1.5, 2.5))
     # The creator sees the peer's append through the shared mapping.
     assert l2.get(NS, "groupflows", "k2") == (1.5, 2.5)
@@ -233,9 +233,9 @@ def test_l2_values_roundtrip_exactly(tmp_path):
     l2 = SharedArtifactStore.create(size=1 << 18, dir=str(tmp_path))
     exact_int = 3**200  # far beyond float precision
     floats = (0.1 + 0.2, 1e-300, -0.0)
-    l2.put(NS, "walkvol", "i", exact_int)
+    l2.put(NS, "cov", "i", exact_int)
     l2.put(NS, "groupflows", "f", floats)
-    assert l2.get(NS, "walkvol", "i") == exact_int
+    assert l2.get(NS, "cov", "i") == exact_int
     got = l2.get(NS, "groupflows", "f")
     assert [f.hex() for f in got] == [f.hex() for f in floats]
     l2.unlink()
@@ -245,13 +245,13 @@ def test_l2_full_log_refuses_appends(tmp_path):
     l2 = SharedArtifactStore.create(size=256, dir=str(tmp_path))
     wrote = 0
     for i in range(64):
-        if l2.put(NS, "walkvol", ("pad", i), i):
+        if l2.put(NS, "cov", ("pad", i), i):
             wrote += 1
     assert 0 < wrote < 64
     assert l2.full
     assert l2.dropped > 0
     # Existing entries stay readable after the log fills.
-    assert l2.get(NS, "walkvol", ("pad", 0)) == 0
+    assert l2.get(NS, "cov", ("pad", 0)) == 0
     l2.unlink()
 
 
@@ -267,13 +267,13 @@ def test_l2_attach_rejects_non_stores(tmp_path):
 # ----------------------------------------------------------------------
 def test_l3_flush_load_merge(tmp_path):
     l3 = DiskArtifactStore(str(tmp_path))
-    assert l3.load(NS, "walkvol") == {}
-    assert l3.flush(NS, "walkvol", {"a": 1, "b": 2}) == 2
-    assert l3.flush(NS, "walkvol", {"c": 3}) == 3, "flushes must merge"
-    assert l3.load(NS, "walkvol") == {"a": 1, "b": 2, "c": 3}
+    assert l3.load(NS, "cov") == {}
+    assert l3.flush(NS, "cov", {"a": 1, "b": 2}) == 2
+    assert l3.flush(NS, "cov", {"c": 3}) == 3, "flushes must merge"
+    assert l3.load(NS, "cov") == {"a": 1, "b": 2, "c": 3}
     # Other kinds and namespaces are independent shards.
-    l3.flush(NS, "cov", {"k": {"x": 1}})
-    l3.flush("other|ns", "walkvol", {"z": 9})
+    l3.flush(NS, "groupflows", {"k": {"x": 1}})
+    l3.flush("other|ns", "cov", {"z": 9})
     stats = l3.stats()
     assert stats["total_entries"] == 5
     assert len(stats["namespaces"]) == 2
@@ -281,9 +281,9 @@ def test_l3_flush_load_merge(tmp_path):
 
 def test_l3_schema_and_namespace_mismatch_read_cold(tmp_path):
     l3 = DiskArtifactStore(str(tmp_path))
-    l3.flush(NS, "walkvol", {"a": 1})
+    l3.flush(NS, "cov", {"a": 1})
     shard = next(p for p in l3.root.iterdir() if p.is_dir())
-    path = shard / "walkvol.pkl"
+    path = shard / "cov.pkl"
     good = path.read_bytes()
 
     # Hash-prefix collision guard: the payload's recorded namespace must
@@ -291,32 +291,32 @@ def test_l3_schema_and_namespace_mismatch_read_cold(tmp_path):
     payload = pickle.loads(good)
     payload["namespace"] = "someone|else|entirely"
     path.write_bytes(pickle.dumps(payload))
-    assert l3.load(NS, "walkvol") == {}
+    assert l3.load(NS, "cov") == {}
     assert l3.invalid == 1
 
     # Schema drift: a bumped payload schema reads as cold.
     payload = pickle.loads(good)
     payload["schema"] = L3_SCHEMA + 1
     path.write_bytes(pickle.dumps(payload))
-    assert l3.load(NS, "walkvol") == {}
+    assert l3.load(NS, "cov") == {}
     assert l3.invalid == 2
 
     # Corruption reads as cold, never raises.
     path.write_bytes(b"garbage not pickle")
-    assert l3.load(NS, "walkvol") == {}
+    assert l3.load(NS, "cov") == {}
 
     # The intact payload still loads (the store itself is fine).
     path.write_bytes(good)
-    assert l3.load(NS, "walkvol") == {"a": 1}
+    assert l3.load(NS, "cov") == {"a": 1}
 
 
 def test_l3_purge_selectors(tmp_path):
     l3 = DiskArtifactStore(str(tmp_path))
-    l3.flush("wlA|edge", "walkvol", {"a": 1})
-    l3.flush("wlB|edge", "walkvol", {"b": 2})
+    l3.flush("wlA|edge", "cov", {"a": 1})
+    l3.flush("wlB|edge", "cov", {"b": 2})
     assert l3.purge("wlA") == ["wlA|edge"]
-    assert l3.load("wlA|edge", "walkvol") == {}
-    assert l3.load("wlB|edge", "walkvol") == {"b": 2}
+    assert l3.load("wlA|edge", "cov") == {}
+    assert l3.load("wlB|edge", "cov") == {"b": 2}
     # Dir-hash prefixes select too (what `cache stats` prints).
     dir_name = next(p.name for p in l3.root.iterdir() if p.is_dir())
     assert l3.purge(dir_name[:8]) == ["wlB|edge"]
@@ -326,7 +326,7 @@ def test_l3_purge_selectors(tmp_path):
 
 def test_l3_purge_spares_foreign_directories(tmp_path):
     l3 = DiskArtifactStore(str(tmp_path))
-    l3.flush(NS, "walkvol", {"a": 1})
+    l3.flush(NS, "cov", {"a": 1})
     foreign = l3.root / "not-a-shard"
     foreign.mkdir()
     (foreign / "precious.txt").write_text("do not delete")
@@ -403,8 +403,8 @@ def test_only_tiered_kinds_reach_l2(tmp_path):
     cache = SubtreeArtifactCache(1024)
     cache.attach_l2(l2)
     cache.store(NS, "slices").put("fp", object())  # unpicklable, L1-only
-    cache.store(NS, "walkvol").put("k", 7)
-    assert l2.get(NS, "walkvol", "k") == 7
+    cache.store(NS, "cov").put("k", 7)
+    assert l2.get(NS, "cov", "k") == 7
     assert l2.get(NS, "slices", "fp") is None
     assert len(l2) == 1
     assert "slices" not in TIERED_KINDS

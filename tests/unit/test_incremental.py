@@ -148,7 +148,7 @@ def test_kind_store_basic_roundtrip_and_stats():
     cache = SubtreeArtifactCache(maxsize=10)
     store = cache.store("ns", "slices")
     assert store is cache.store("ns", "slices")
-    assert cache.store("ns", "walkvol") is not store
+    assert cache.store("ns", "cov") is not store
 
     store.put("a", 1)
     assert store.data.get("a") == 1
@@ -161,7 +161,7 @@ def test_kind_store_basic_roundtrip_and_stats():
 
     stats = cache.stats()
     assert stats["entries"] == 1
-    assert set(stats["hits_by_kind"]) == {"slices", "walkvol"}
+    assert set(stats["hits_by_kind"]) == {"slices", "cov"}
 
     cache.clear()
     assert len(cache) == 0
